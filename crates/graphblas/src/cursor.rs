@@ -591,24 +591,77 @@ pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
     op: Op,
     out: &mut Vec<(Index, T)>,
 ) {
-    out.clear();
-    let mut hits: Vec<(Vec<Index>, Vec<T>)> = Vec::new();
+    let mut planes: Vec<ColPlane<T>> = Vec::new();
     for d in levels {
-        let (ids, ptr, cols, vals) = d.raw_parts();
-        let mut hit_rows: Vec<Index> = Vec::new();
-        let mut hit_vals: Vec<T> = Vec::new();
-        for slot in 0..ids.len() {
-            let (lo, hi) = (ptr[slot], ptr[slot + 1]);
-            if let Ok(j) = cols[lo..hi].binary_search(&col) {
-                hit_rows.push(ids[slot]);
-                hit_vals.push(vals[lo + j]);
-            }
-        }
-        if !hit_rows.is_empty() {
-            hits.push((hit_rows, hit_vals));
+        let mut plane = ColPlane::default();
+        col_hits_into(d, col, &mut plane);
+        planes.push(plane);
+    }
+    fold_col_planes(planes, op, out);
+}
+
+/// One level's share of a column: the rows storing the column, ascending,
+/// with their values.
+pub type ColPlane<T> = (Vec<Index>, Vec<T>);
+
+/// Collect one level's hits for column `col` into `plane` (appended):
+/// one binary search per non-empty row, so the cost is the level's row
+/// slot count times `log degree`, whatever the column's own degree.
+pub fn col_hits_into<T: ScalarType>(d: &Dcsr<T>, col: Index, plane: &mut ColPlane<T>) {
+    let (ids, ptr, cols, vals) = d.raw_parts();
+    for slot in 0..ids.len() {
+        let (lo, hi) = (ptr[slot], ptr[slot + 1]);
+        if let Ok(j) = cols[lo..hi].binary_search(&col) {
+            plane.0.push(ids[slot]);
+            plane.1.push(vals[lo + j]);
         }
     }
-    let mut iter = hits.into_iter();
+}
+
+/// The columns `lo..hi` (half-open) of one level, transposed: a
+/// `ncols x nrows` structure whose "rows" are those columns, as a column
+/// twin restricted to the range would hold them.  One binary search per
+/// non-empty row plus a sort of the hits.
+pub fn col_range_transposed<T: ScalarType>(d: &Dcsr<T>, lo: Index, hi: Index) -> Dcsr<T> {
+    let (ids, ptr, cols, vals) = d.raw_parts();
+    let (mut tr, mut tc, mut tv) = (Vec::new(), Vec::new(), Vec::new());
+    if lo < hi {
+        for slot in 0..ids.len() {
+            let row_cols = &cols[ptr[slot]..ptr[slot + 1]];
+            let start = row_cols.partition_point(|&c| c < lo);
+            for (j, &c) in row_cols.iter().enumerate().skip(start) {
+                if c >= hi {
+                    break;
+                }
+                tr.push(c);
+                tc.push(ids[slot]);
+                tv.push(vals[ptr[slot] + j]);
+            }
+        }
+    }
+    // Cells of one level are distinct, so the combine operator never fires.
+    Dcsr::from_tuples(
+        d.ncols(),
+        d.nrows(),
+        &tr,
+        &tc,
+        &tv,
+        crate::ops::binary::Plus,
+    )
+    .expect("transposed cells stay within the swapped dims")
+}
+
+/// Fold per-level column planes left to right (level order, preserving the
+/// collision order) under `op` into `out` (cleared first), through the
+/// skew-aware merge kernel.  Whether a plane came from a level sweep or a
+/// column twin does not matter: both hold the same cells in the same order.
+pub fn fold_col_planes<T: ScalarType, Op: BinaryOp<T>>(
+    planes: Vec<ColPlane<T>>,
+    op: Op,
+    out: &mut Vec<(Index, T)>,
+) {
+    out.clear();
+    let mut iter = planes.into_iter().filter(|p| !p.0.is_empty());
     let Some((mut acc_rows, mut acc_vals)) = iter.next() else {
         return;
     };

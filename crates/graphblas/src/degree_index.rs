@@ -21,14 +21,27 @@
 //!   never the cell oracle).
 //! * an exact **`nnz`** counter.
 //!
-//! `top_k` and the degree histogram are served from **lazily rebuilt
-//! caches**: the first query after a mutation scans the row stats once
-//! (`O(rows)` with a bounded min-heap — no sort of the full row set), and
-//! every further query until the next mutation answers in `O(k)` /
-//! `O(distinct degrees)`.  Answers are deterministic (degree descending,
-//! row ascending) and byte-identical to the cursor-sweep fallback, which
-//! the read paths keep as a `debug_assert` and the equivalence property
-//! tests drive directly.
+//! `top_k` and the degree histogram are served from **caches kept current
+//! by the settle observer**.  The first query builds a cache with one scan
+//! of the row stats (`O(rows)`, a bounded min-heap for top-k — no sort of
+//! the full row set).  From then on each settle updates it in place, at a
+//! cost proportional to the rows the settle touched, and every query
+//! answers in `O(k)` / `O(distinct degrees)`:
+//!
+//! * the top-k cache holds the `C` leading rows.  Between clears degrees
+//!   only grow, so the new top `C` is a subset of the old top `C` plus the
+//!   rows the settle touched.  A touched row whose degree rose is checked
+//!   against the cached `C`-th key; those that beat it are merged in and
+//!   the list is cut back to `C`.
+//! * the histogram moves each touched row from its old degree to its new
+//!   one.
+//!
+//! A cache nobody has queried is not maintained, and the bulk paths
+//! (`observe_dcsr*`, `add_unique_row`, `clear`) let both caches go stale
+//! for the next query to rebuild.  Answers are deterministic (degree
+//! descending, row ascending) and byte-identical to the cursor-sweep
+//! fallback, which the read paths keep as a `debug_assert` and the
+//! equivalence property tests drive directly.
 //!
 //! Ordering caveat: per-row weights fold in *arrival* order while a cursor
 //! sweep folds in level/column order.  For the integer scalar types every
@@ -114,7 +127,8 @@ pub struct RowStat<V> {
 struct RowStatsCore<V> {
     rows: HashMap<Index, RowStat<V>, FxBuildHasher>,
     nnz: usize,
-    /// Bumped on every mutation; the query caches compare against it.
+    /// Bumped on every mutation; a query cache is valid while its stamp
+    /// equals this.
     version: u64,
 }
 
@@ -128,8 +142,11 @@ impl<V> Default for RowStatsCore<V> {
     }
 }
 
-/// Lazily rebuilt query caches (not shared: snapshots rebuild their own
-/// from the shared core on first use).
+/// Query caches, each valid while its version stamp equals the core's.
+/// The settle observer keeps a valid cache valid by updating it in place;
+/// every other mutation lets it go stale, and the next query rebuilds it.
+/// Not shared: a snapshot's view carries its own copy, frozen with the
+/// core it captured.
 ///
 /// Version 0 is the empty core's version, so `Default` (all-empty caches
 /// stamped 0) is trivially consistent with a fresh core.
@@ -148,6 +165,69 @@ struct QueryCache {
     hist_version: u64,
     /// Reusable min-heap buffer for rebuilds.
     heap_buf: Vec<std::cmp::Reverse<(u64, std::cmp::Reverse<Index>)>>,
+}
+
+/// Rank order of the top-k answers: degree descending, row ascending.
+fn rank_order(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+impl QueryCache {
+    /// Whether a row now at `degree` may enter the cached ranks: when the
+    /// cache holds every row, any row whose degree rose; otherwise only a
+    /// row whose key beats the cached last (C-th) key.  Degrees only grow
+    /// between clears, so a row that does not beat it stays outside the
+    /// top C: the C cached rows all still rank above it.
+    #[inline]
+    fn topk_admits(&self, row: Index, degree: u64) -> bool {
+        if self.complete {
+            return true;
+        }
+        match self.topk.last() {
+            Some(&(last_row, last_deg)) => {
+                let last_deg = last_deg as u64;
+                degree > last_deg || (degree == last_deg && row < last_row)
+            }
+            None => true,
+        }
+    }
+
+    /// Fold one settle's `(row, new degree)` candidates into the cached
+    /// ranks: the new top C is a subset of the old top C plus the
+    /// candidates.
+    fn merge_topk_candidates(&mut self, mut candidates: Vec<(Index, u64)>) {
+        if candidates.is_empty() {
+            return;
+        }
+        // A row can be a candidate many times in one settle (the column
+        // index sees a column once per row storing it); its degree only
+        // rose, so the largest is the latest.
+        candidates.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        candidates.dedup_by_key(|c| c.0);
+        self.topk
+            .retain(|&(row, _)| candidates.binary_search_by_key(&row, |c| c.0).is_err());
+        self.topk
+            .extend(candidates.iter().map(|&(row, d)| (row, d as usize)));
+        self.topk.sort_unstable_by(rank_order);
+        if self.topk.len() > self.covered {
+            self.topk.truncate(self.covered);
+            self.complete = false;
+        }
+    }
+}
+
+/// Move one row from `old` to `new` degree in a degree histogram (`old` 0
+/// is a row that did not exist).
+fn hist_move(hist: &mut BTreeMap<u64, u64>, old: u64, new: u64) {
+    if old > 0 {
+        if let Some(n) = hist.get_mut(&old) {
+            *n -= 1;
+            if *n == 0 {
+                hist.remove(&old);
+            }
+        }
+    }
+    *hist.entry(new).or_insert(0) += 1;
 }
 
 /// Smallest top-k cache width: rebuilding for a tiny `k` would re-scan the
@@ -209,8 +289,9 @@ impl<V: ScalarType> DegreeIndexView<V> {
     }
 
     /// The `k` rows with the most distinct columns (degree descending, row
-    /// ascending) — O(k) when the cache is warm, one O(rows) bounded-heap
-    /// scan to rebuild it after a mutation.
+    /// ascending) — O(k) off the cache, which the settle observer keeps
+    /// current; one O(rows) bounded-heap scan builds it on first use and
+    /// after a bulk mutation.
     pub fn top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
         if k == 0 {
             return Vec::new();
@@ -246,14 +327,13 @@ impl<V: ScalarType> DegreeIndexView<V> {
                 .map(|Reverse((d, Reverse(r)))| (r, d as usize)),
         );
         self.cache.heap_buf = buf;
-        self.cache
-            .topk
-            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.cache.topk.sort_unstable_by(rank_order);
         self.cache.topk_version = self.core.version;
     }
 
     /// The degree histogram (`degree -> row count`) — O(distinct degrees)
-    /// when warm, one O(rows) scan to rebuild after a mutation.
+    /// off the cache, which the settle observer keeps current; one O(rows)
+    /// scan builds it on first use and after a bulk mutation.
     pub fn degree_histogram(&mut self) -> BTreeMap<u64, u64> {
         if self.cache.hist_version != self.core.version {
             self.cache.hist.clear();
@@ -356,6 +436,12 @@ impl<V: ScalarType> DegreeIndex<V> {
             return;
         }
         let core = Arc::make_mut(&mut self.view.core);
+        let cache = &mut self.view.cache;
+        // Caches valid before this settle are updated in place and stay
+        // valid; stale ones stay stale for the next query to rebuild.
+        let keep_topk = cache.topk_version == core.version;
+        let keep_hist = cache.hist_version == core.version;
+        let mut candidates = Vec::new();
         let mut i = 0;
         while i < rows.len() {
             let row = rows[i];
@@ -372,11 +458,27 @@ impl<V: ScalarType> DegreeIndex<V> {
                 degree: 0,
                 weight: V::default(),
             });
+            let old = stat.degree;
             stat.degree += new_cells;
             stat.weight = stat.weight.add(weight);
             core.nnz += new_cells as usize;
+            if new_cells > 0 {
+                if keep_topk && cache.topk_admits(row, stat.degree) {
+                    candidates.push((row, stat.degree));
+                }
+                if keep_hist {
+                    hist_move(&mut cache.hist, old, stat.degree);
+                }
+            }
         }
         core.version += 1;
+        if keep_topk {
+            cache.merge_topk_candidates(candidates);
+            cache.topk_version = core.version;
+        }
+        if keep_hist {
+            cache.hist_version = core.version;
+        }
     }
 
     /// Observe a settled structure wholesale (the `update_matrix` bulk
@@ -596,6 +698,90 @@ mod tests {
         assert_eq!(ix.top_k(2).len(), 2);
         assert_eq!(ix.top_k(250).len(), 250);
         assert_eq!(ix.top_k(1000).len(), 300);
+    }
+
+    /// Every row's degree, ranked, from the stats themselves.
+    fn ranked(ix: &DegreeIndex<u64>) -> Vec<(u64, usize)> {
+        let mut all: Vec<(u64, usize)> = ix
+            .row_degrees()
+            .into_iter()
+            .map(|(r, d)| (r, d as usize))
+            .collect();
+        all.sort_by(rank_order);
+        all
+    }
+
+    fn ranked_hist(ix: &DegreeIndex<u64>) -> BTreeMap<u64, u64> {
+        let mut h = BTreeMap::new();
+        for (_, d) in ix.row_degrees() {
+            *h.entry(d).or_insert(0) += 1;
+        }
+        h
+    }
+
+    fn caches_current(ix: &DegreeIndex<u64>) -> bool {
+        let v = ix.view.core.version;
+        ix.view.cache.topk_version == v && ix.view.cache.hist_version == v
+    }
+
+    #[test]
+    fn settles_update_warm_caches_in_place() {
+        let mut ix = DegreeIndex::<u64>::new();
+        // 400 rows of degree 1..=3: far more rows than the cached ranks,
+        // and long runs of equal degrees.
+        for r in 0u64..400 {
+            let batch: Vec<(u64, u64, u64)> = (0..r % 3 + 1).map(|c| (r, c, 1)).collect();
+            settle(&mut ix, &batch);
+        }
+        assert_eq!(ix.top_k(10), ranked(&ix)[..10].to_vec());
+        assert_eq!(ix.degree_histogram(), ranked_hist(&ix));
+        assert!(!ix.view.cache.complete);
+        for step in 0u64..60 {
+            // Rows spread over the whole range gain cells: some climb past
+            // the cached last key, most stay below it, and revisited cells
+            // grow no degree.
+            let mut batch: Vec<(u64, u64, u64)> = (0..5)
+                .map(|j| ((step * 37 + j * 91) % 420, 100 + step % 7, 1))
+                .collect();
+            batch.sort_unstable();
+            batch.dedup_by_key(|e| (e.0, e.1));
+            settle(&mut ix, &batch);
+            assert!(
+                caches_current(&ix),
+                "step {step}: a settle invalidated a cache"
+            );
+            let all = ranked(&ix);
+            for k in [1usize, 10, TOPK_MIN_COVER] {
+                assert_eq!(ix.top_k(k), all[..k].to_vec(), "step {step}, k = {k}");
+            }
+            assert_eq!(ix.degree_histogram(), ranked_hist(&ix), "step {step}");
+        }
+        // A bulk observation lets the caches go stale; the next query
+        // rebuilds them.
+        let d = Dcsr::from_tuples(1000, 1000, &[7], &[999], &[1u64], Plus).unwrap();
+        ix.observe_dcsr(&d);
+        assert!(!caches_current(&ix));
+        assert_eq!(ix.top_k(5), ranked(&ix)[..5].to_vec());
+    }
+
+    #[test]
+    fn complete_cache_admits_new_rows_until_it_overflows() {
+        let mut ix = DegreeIndex::<u64>::new();
+        settle(&mut ix, &[(5, 1, 1), (6, 1, 1), (6, 2, 1)]);
+        assert_eq!(ix.top_k(3), vec![(6, 2), (5, 1)]);
+        assert!(ix.view.cache.complete);
+        // New rows join a complete cache, each settle, until it holds more
+        // than its cover.
+        for r in 100u64..(100 + TOPK_MIN_COVER as u64) {
+            settle(&mut ix, &[(r, 1, 1)]);
+            assert!(caches_current(&ix));
+            let all = ranked(&ix);
+            let k = all.len().min(TOPK_MIN_COVER);
+            assert_eq!(ix.top_k(TOPK_MIN_COVER), all[..k].to_vec());
+        }
+        assert!(!ix.view.cache.complete);
+        // A wider ask than the cover rebuilds.
+        assert_eq!(ix.top_k(1000).len(), ix.nrows_nonempty());
     }
 
     #[test]

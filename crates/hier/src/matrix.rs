@@ -4,12 +4,14 @@ use crate::config::HierConfig;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
 use hyperstream_graphblas::cursor::{
-    for_each_merged, merge_levels, merged_col_degree, merged_col_into, merged_col_range,
-    merged_col_reduce, merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point,
-    merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce, merged_top_k,
+    col_hits_into, col_range_transposed, fold_col_planes, for_each_merged, merge_levels,
+    merged_col_degree, merged_col_into, merged_col_range, merged_col_reduce,
+    merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point, merged_row_degree,
+    merged_row_into, merged_row_range, merged_row_reduce, merged_top_k, ColPlane,
 };
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::formats::MemoryFootprint;
+use hyperstream_graphblas::matrix::{ColScan, ColSource};
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::monoid::PlusMonoid;
 use hyperstream_graphblas::ops::reduce::reduce_scalar;
@@ -33,18 +35,20 @@ use std::sync::Arc;
 /// changing the represented union, so they cost the index nothing), which
 /// turns `read_nnz` / `read_row_degree` / `read_row_reduce` into O(1)
 /// answers and `read_top_k` / the degree histogram into O(k) answers off
-/// lazily rebuilt caches — previously all full cursor sweeps.  The sweep
-/// path is retained as the `sweep_*` fallback family and re-checked by
-/// `debug_assert` on every indexed answer.
+/// caches the settle observer keeps current — previously all full cursor
+/// sweeps.  The sweep path is retained as the `sweep_*` fallback family and
+/// re-checked by `debug_assert` on every indexed answer.
 ///
 /// The *column* read path mirrors all of this through the transpose: a
 /// second, lazily-activated [`DegreeIndex`] keyed by column (fed by the
 /// same settle observer with the coordinate slices swapped) answers
 /// in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k), and
-/// per-level column twins ([`Matrix::col_shadow`]) serve column extracts
-/// and column-range scans in O(k) per level.  Cascades are union-preserving
-/// so they cost the column structures nothing either; the `sweep_col_*` /
-/// `sweep_in_*` fallbacks retain the cursor path for equivalence checks.
+/// column extracts and column-range scans run per level through
+/// [`Matrix::col_source`]: a sweep of the level's row slots until the
+/// sweeps since the level last changed have paid for a column twin, O(k)
+/// off the twin from then on.  Cascades are union-preserving so they cost
+/// the column index nothing either; the `sweep_col_*` / `sweep_in_*`
+/// fallbacks retain the cursor path for equivalence checks.
 #[derive(Debug)]
 pub struct HierMatrix<T> {
     nrows: Index,
@@ -401,16 +405,45 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels.iter().map(|l| l.dcsr()).collect()
     }
 
-    /// Settle (through the index observers) and return each level's column
-    /// twin.  Settling first matters: [`Matrix::col_shadow`] runs a plain
+    /// Settle (through the index observers) and append column `col` of
+    /// every level, lowest first, to `planes` — for [`fold_col_planes`].
+    /// Each level answers through [`Matrix::col_source`]: off its column
+    /// twin once one has paid for itself, by sweeping its row slots until
+    /// then.  Settling first matters: `col_source` runs a plain
     /// *unobserved* settle internally, which would bypass the degree
     /// indexes — after [`HierMatrix::settle_levels`] that internal wait is
-    /// a no-op.  Twins are lazily built and Arc-cached per level, so a
-    /// column-read phase builds each once and cascades invalidate only the
-    /// levels they touch.
-    pub(crate) fn settled_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
+    /// a no-op.  A change drops only the twin of the level it touches, so
+    /// the large upper levels keep theirs between cascades while level 0,
+    /// which every settle changes, sweeps.
+    pub(crate) fn col_planes(&mut self, col: Index, planes: &mut Vec<ColPlane<T>>) {
         self.settle_levels();
-        self.levels.iter_mut().map(|l| l.col_shadow()).collect()
+        for level in &mut self.levels {
+            let mut plane = ColPlane::default();
+            match level.col_source(ColScan::Column) {
+                ColSource::Twin(twin) => {
+                    if let Some((rows, vals)) = twin.row(col) {
+                        plane.0.extend_from_slice(rows);
+                        plane.1.extend_from_slice(vals);
+                    }
+                }
+                ColSource::Sweep(d) => col_hits_into(d, col, &mut plane),
+            }
+            planes.push(plane);
+        }
+    }
+
+    /// Settle and append, per level and lowest first, the transposed
+    /// structure holding the columns `lo..hi` — the level's column twin,
+    /// or the range cut from a sweep (see [`HierMatrix::col_planes`]) — for
+    /// a row-range walk that yields the columns in column-major order.
+    pub(crate) fn col_range_parts(&mut self, lo: Index, hi: Index, parts: &mut Vec<Arc<Dcsr<T>>>) {
+        self.settle_levels();
+        for level in &mut self.levels {
+            parts.push(match level.col_source(ColScan::Range) {
+                ColSource::Twin(twin) => twin,
+                ColSource::Sweep(d) => Arc::new(col_range_transposed(d, lo, hi)),
+            });
+        }
     }
 
     /// Exact number of stored entries of the represented matrix.
@@ -1139,12 +1172,12 @@ impl<T: ScalarType> MatrixReader<T> for HierMatrix<T> {
     }
 
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        // O(k) off the per-level column twins instead of the default
-        // full-entry sweep: one binary search per twin, then a k-way merge
-        // of the per-level column runs.
-        let shadows = self.settled_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_into(&refs, col, Plus, out);
+        // Per level, a twin lookup or a row-slot sweep (whichever
+        // `Matrix::col_source` picks), then a level-order fold of the
+        // per-level column planes.
+        let mut planes = Vec::with_capacity(self.levels.len());
+        self.col_planes(col, &mut planes);
+        fold_col_planes(planes, Plus, out);
         debug_assert_eq!(*out, {
             let mut sweep = Vec::new();
             merged_col_into(&self.dcsr_refs(), col, Plus, &mut sweep);
@@ -1184,11 +1217,11 @@ impl<T: ScalarType> MatrixReader<T> for HierMatrix<T> {
     }
 
     fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        // The twins are row-major in (col, row), so a plain row-range walk
-        // over them *is* the column-major contract order — no collect/sort
-        // pass like the default sweep needs.
-        let shadows = self.settled_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
+        // The parts are row-major in (col, row), so a plain row-range walk
+        // over them *is* the column-major contract order.
+        let mut parts = Vec::with_capacity(self.levels.len());
+        self.col_range_parts(lo, hi, &mut parts);
+        let refs: Vec<&Dcsr<T>> = parts.iter().map(|p| p.as_ref()).collect();
         merged_row_range(&refs, lo, hi, Plus, &mut |c, r, v| f(r, c, v));
     }
 
@@ -1655,6 +1688,107 @@ mod tests {
             transposed.read_row_range(lo, hi, &mut |c, r, v| expect.push((r, c, v)));
             assert_eq!(got, expect, "range {lo}..{hi}");
         }
+    }
+
+    /// Reads after which [`Matrix::col_source`] serves a settled,
+    /// unchanged level from its twin: read `twin_read(level)` is the first.
+    fn twin_read(level: &Matrix<u64>) -> usize {
+        use hyperstream_graphblas::matrix::COL_TWIN_BUILD_COST;
+        (COL_TWIN_BUILD_COST * level.nvals_settled()).div_ceil(level.nrows_nonempty()) + 1
+    }
+
+    type Col = Vec<(Index, u64)>;
+
+    /// Column `col` through the reader and through the sweep fallback.
+    fn col_of(m: &mut HierMatrix<u64>, col: Index) -> (Col, Col) {
+        let (mut got, mut sweep) = (Vec::new(), Vec::new());
+        m.read_col(col, &mut got);
+        m.sweep_col(col, &mut sweep);
+        (got, sweep)
+    }
+
+    #[test]
+    fn column_reads_sweep_a_level_that_changes_before_every_read() {
+        let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
+        for i in 0..400u64 {
+            m.update_batch(&[i % 37, i % 53 + 100], &[i % 11, (i * 7) % 13], &[1, 2])
+                .unwrap();
+            let (got, sweep) = col_of(&mut m, i % 13);
+            assert_eq!(got, sweep, "read {i}");
+            // Level 0 changes before every read, so it never pays for a
+            // twin.
+            assert!(!m.levels[0].has_col_shadow(), "read {i}");
+        }
+        assert!(m.stats().total_cascades() > 0);
+    }
+
+    #[test]
+    fn column_reads_build_twins_once_an_unchanged_hierarchy_has_paid() {
+        let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
+        for i in 0..700u64 {
+            m.update(i % 97, (i * 13) % 29, i % 5 + 1).unwrap();
+        }
+        m.settle_levels();
+        let bound = m
+            .levels
+            .iter()
+            .filter(|l| l.nvals_settled() > 0)
+            .map(twin_read)
+            .max()
+            .unwrap();
+        assert!(bound > 1);
+        for read in 1..=bound + 3 {
+            let col = read as u64 % 29;
+            // Identical answers before, at and after the switch.
+            let (got, sweep) = col_of(&mut m, col);
+            assert_eq!(got, sweep, "read {read}");
+            let (lo, hi) = (col, col + 3);
+            let (mut got, mut sweep) = (Vec::new(), Vec::new());
+            m.read_col_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
+            m.sweep_col_range(lo, hi, &mut |r, c, v| sweep.push((r, c, v)));
+            assert_eq!(got, sweep, "range read {read}");
+        }
+        for level in m.levels.iter().filter(|l| l.nvals_settled() > 0) {
+            assert!(level.has_col_shadow());
+        }
+        // Empty levels sweep for free and never build.
+        assert!(m
+            .levels
+            .iter()
+            .all(|l| l.nvals_settled() > 0 || !l.has_col_shadow()));
+    }
+
+    #[test]
+    fn cascades_and_clear_restart_the_column_rent() {
+        let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
+        let top = m.levels() - 1;
+        for i in 0..600u64 {
+            m.update(i % 89, (i * 7) % 31, 1).unwrap();
+        }
+        m.flush().unwrap();
+        for i in 0..40u64 {
+            m.update(i + 1000, i % 31, 1).unwrap();
+        }
+        m.settle_levels();
+        // Sweep the top level to just short of its twin.
+        for read in 1..twin_read(&m.levels[top]) {
+            let _ = col_of(&mut m, read as u64 % 31);
+        }
+        assert!(!m.levels[top].has_col_shadow());
+        // The flush cascades into the top level: it changed, so the sweeps
+        // it was paid start over at zero.
+        m.flush().unwrap();
+        let bound = twin_read(&m.levels[top]);
+        for read in 1..=bound {
+            assert!(!m.levels[top].has_col_shadow(), "twin before read {read}");
+            let (got, sweep) = col_of(&mut m, read as u64 % 31);
+            assert_eq!(got, sweep);
+        }
+        assert!(m.levels[top].has_col_shadow());
+        m.clear();
+        assert!(m.levels.iter().all(|l| !l.has_col_shadow()));
+        let (got, _) = col_of(&mut m, 3);
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -701,6 +701,9 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         let mut shards = Vec::with_capacity(nshards);
         let mut workers = Vec::with_capacity(nshards);
         let mut replay = Vec::with_capacity(nshards);
+        // A reopened durable store already holds weight: the producer-side
+        // counter starts from what the shards recovered.
+        let mut recovered_weight = 0.0;
         for i in 0..nshards {
             let hier = match &durable {
                 Some(dcfg) => {
@@ -708,6 +711,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                 }
                 None => HierMatrix::new(nrows, ncols, hier_config.clone())?,
             };
+            recovered_weight += hier.total_weight_f64();
             let shard = Arc::new(Mutex::new(hier));
             workers.push(spawn_worker(i, Arc::clone(&shard), depth));
             shards.push(shard);
@@ -723,7 +727,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             staging: PartitionBuffers::new(nshards),
             shards,
             workers,
-            ingested_weight: 0.0,
+            ingested_weight: recovered_weight,
             since_round: 0,
             rounds: 0,
             chunks_sent: 0,

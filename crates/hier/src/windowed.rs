@@ -12,10 +12,10 @@
 use crate::config::HierConfig;
 use crate::matrix::HierMatrix;
 use hyperstream_graphblas::cursor::{
-    for_each_merged, merge_levels, merged_col_degree, merged_col_into, merged_col_range,
-    merged_col_reduce, merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point,
-    merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce, merged_top_k,
-    LevelCursors,
+    fold_col_planes, for_each_merged, merge_levels, merged_col_degree, merged_col_into,
+    merged_col_range, merged_col_reduce, merged_in_degree_histogram, merged_in_top_k, merged_nnz,
+    merged_point, merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce,
+    merged_top_k, LevelCursors,
 };
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
@@ -23,7 +23,6 @@ use hyperstream_graphblas::{
     DegreeIndex, GrbResult, Index, Matrix, MatrixReader, ScalarType, StreamingSink,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// A rotating sequence of hierarchical matrices, one per time window.
 ///
@@ -312,11 +311,15 @@ impl<T: ScalarType> MatrixReader<T> for WindowedHierMatrix<T> {
     }
 
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        // O(k) off the per-window column twins (each window's shadows are
-        // Arc-cached, so a query burst between rotations builds them once).
-        let shadows = self.retained_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_into(&refs, col, Plus, out);
+        // Every retained window's levels answer through their own twin or
+        // sweep decision (`Matrix::col_source`); the planes fold in window
+        // then level order.
+        let mut planes = Vec::new();
+        for w in &mut self.closed {
+            w.col_planes(col, &mut planes);
+        }
+        self.current.col_planes(col, &mut planes);
+        fold_col_planes(planes, Plus, out);
         debug_assert_eq!(*out, {
             let mut sweep = Vec::new();
             self.sweep_col(col, &mut sweep);
@@ -353,10 +356,14 @@ impl<T: ScalarType> MatrixReader<T> for WindowedHierMatrix<T> {
     }
 
     fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        // The twins are row-major in (col, row): a row-range walk over them
+        // The parts are row-major in (col, row): a row-range walk over them
         // is already the column-major contract order.
-        let shadows = self.retained_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
+        let mut parts = Vec::new();
+        for w in &mut self.closed {
+            w.col_range_parts(lo, hi, &mut parts);
+        }
+        self.current.col_range_parts(lo, hi, &mut parts);
+        let refs: Vec<&Dcsr<T>> = parts.iter().map(|p| p.as_ref()).collect();
         merged_row_range(&refs, lo, hi, Plus, &mut |c, r, v| f(r, c, v));
     }
 
@@ -455,18 +462,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
     pub fn sweep_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
         let dcsrs = self.retained_settled_dcsrs();
         hyperstream_graphblas::cursor::merged_degree_histogram(&dcsrs)
-    }
-
-    /// Settle every retained window (through the index observers) and
-    /// collect every window's per-level column twins for one merged
-    /// transpose-side sweep.
-    fn retained_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
-        let mut shadows = Vec::new();
-        for w in &mut self.closed {
-            shadows.extend(w.settled_col_shadows());
-        }
-        shadows.extend(self.current.settled_col_shadows());
-        shadows
     }
 
     /// Rebuild the union *column* index if any mutation outdated it — the

@@ -385,6 +385,49 @@ fn sharded_durable_engine_reopens_every_shard() {
     assert_eq!((wr, wc, wv), (gr, gc, gv));
 }
 
+/// The producer-side weight counter survives a reopen: a reopened engine
+/// reports the weight its shards recovered, not zero.
+#[test]
+fn sharded_durable_reopen_keeps_the_weight_counter() {
+    let dir = TempDir::new("sharded-weight");
+    let mk = || {
+        ShardedHierMatrix::<u64>::new_durable(
+            DIM,
+            DIM,
+            small_cuts(),
+            ShardedConfig::with_shards(2),
+            DurableConfig::new(dir.path()),
+        )
+    };
+    let entries_sum = |e: &mut ShardedHierMatrix<u64>| {
+        let mut sum = 0.0;
+        e.try_read_entries(&mut |_, _, v| sum += v as f64).unwrap();
+        sum
+    };
+    let mut e = mk().unwrap();
+    let rows: Vec<u64> = (0..600u64).map(|i| (i * 2_654_435_761) % DIM).collect();
+    let cols: Vec<u64> = (0..600u64).map(|i| i % 37).collect();
+    let vals: Vec<u64> = (0..600u64).map(|i| 1 + i % 5).collect();
+    // Half checkpointed by a flush, half left in the WAL for replay.
+    e.update_batch(&rows[..300], &cols[..300], &vals[..300])
+        .unwrap();
+    e.flush().unwrap();
+    e.update_batch(&rows[300..], &cols[300..], &vals[300..])
+        .unwrap();
+    let before = e.total_weight_f64();
+    assert_eq!(before, vals.iter().sum::<u64>() as f64);
+    assert_eq!(entries_sum(&mut e), before);
+    drop(e);
+
+    let mut e2 = mk().unwrap();
+    assert!(e2.shard_recovery_reports().iter().all(Option::is_some));
+    assert_eq!(e2.total_weight_f64(), before);
+    assert_eq!(entries_sum(&mut e2), before);
+    // Ingest after the reopen adds on top of the recovered weight.
+    e2.update(1, 1, 10).unwrap();
+    assert_eq!(e2.total_weight_f64(), before + 10.0);
+}
+
 // ---------------------------------------------------------------------
 // Failpoint-armed crash injection (process-global registry: serialised).
 // ---------------------------------------------------------------------

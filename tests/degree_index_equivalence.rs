@@ -13,14 +13,27 @@ use proptest::prelude::*;
 
 const DIM: u64 = 1 << 32;
 
-// A stream from a small id pool (duplicates + cross-level row collisions)
-// scattered over the hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..48, 0u64..48, 1u64..5), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
+// A stream of ids drawn below `pool`; `scatter` folds them into a pool of
+// the chosen width (a small one gives duplicates and cross-level row
+// collisions) and spreads them over the hypersparse index space.
+fn pooled_stream(max_len: usize, pool: u64) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    prop::collection::vec((0u64..pool, 0u64..pool, 1u64..5), 1..max_len)
+}
+
+/// How many leading ranks the degree index's top-k cache holds at least.
+const CACHED_RANKS: usize = 128;
+
+/// Wide enough that a stream holds more distinct rows and columns than
+/// the top-k cache covers, mostly at equal low degrees.
+const WIDE_POOL: u64 = 400;
+
+fn scatter(ids: &[(u64, u64, u64)], pool: u64) -> Vec<(u64, u64, u64)> {
+    ids.iter()
+        .map(|&(r, c, w)| {
+            let (r, c) = (r % pool, c % pool);
+            ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w)
+        })
+        .collect()
 }
 
 // An arbitrary valid cut schedule (strictly increasing, non-zero).
@@ -62,23 +75,51 @@ proptest! {
 
     #[test]
     fn hier_index_matches_sweep_and_flat(
-        updates in update_stream(300),
+        raw in pooled_stream(600, WIDE_POOL),
+        wide in 0u64..2,
+        batch in 1usize..40,
         cuts in cut_schedule(),
-        flush_at in 0usize..300,
+        flush_at in 0usize..600,
         k in 0usize..12,
     ) {
+        // The narrow pool gives high degrees and cross-level collisions;
+        // the wide one more rows and columns than the top-k caches cover,
+        // with long runs of equal degrees, so settles take the threshold
+        // path of the cache maintenance.
+        let updates = scatter(&raw, if wide == 1 { WIDE_POOL } else { 48 });
+        let flush_at = flush_at % updates.len();
         let flat = build_flat(&updates);
         let cfg = HierConfig::from_cuts(cuts).unwrap();
         let mut hier = HierMatrix::<u64>::new(DIM, DIM, cfg).unwrap();
         let mut snap = None;
-        for (i, &(r, c, v)) in updates.iter().enumerate() {
-            hier.update(r, c, v).unwrap();
-            if i == flush_at {
+        for (b, chunk) in updates.chunks(batch).enumerate() {
+            let rows: Vec<u64> = chunk.iter().map(|u| u.0).collect();
+            let cols: Vec<u64> = chunk.iter().map(|u| u.1).collect();
+            let vals: Vec<u64> = chunk.iter().map(|u| u.2).collect();
+            hier.update_batch(&rows, &cols, &vals).unwrap();
+            let end = b * batch + chunk.len();
+            if snap.is_none() && flush_at < end {
                 // Mid-stream: query, snapshot, flush — none may disturb
                 // the stream, and the snapshot must freeze here.
                 let _ = hier.read_top_k(3);
-                snap = Some((hier.snapshot(), i));
+                let mut s = hier.snapshot();
+                let frozen = (s.read_top_k(k), s.read_in_top_k(k));
+                snap = Some((s, end, frozen));
                 hier.flush().unwrap();
+            }
+            // After every batch the caches the settles maintained answer
+            // exactly as the sweeps do.
+            // The whole cached range is asked for too: a maintenance slip
+            // shows first at the cache's last ranks, where ties decide.
+            for k in [k, CACHED_RANKS] {
+                prop_assert_eq!(hier.read_top_k(k), hier.sweep_top_k(k));
+                prop_assert_eq!(hier.read_in_top_k(k), hier.sweep_in_top_k(k));
+            }
+            prop_assert_eq!(hier.read_degree_histogram(), hier.sweep_degree_histogram());
+            prop_assert_eq!(hier.read_in_degree_histogram(), hier.sweep_in_degree_histogram());
+            // ...while the snapshot's copies stay frozen.
+            if let Some((s, _, frozen)) = snap.as_mut() {
+                prop_assert_eq!(&(s.read_top_k(k), s.read_in_top_k(k)), &*frozen);
             }
         }
         // Index-served answers == cursor-sweep fallback == flat reference.
@@ -111,8 +152,8 @@ proptest! {
             .collect();
         prop_assert_eq!(got, expect);
         // The mid-stream snapshot still answers the captured prefix.
-        if let Some((mut snap, at)) = snap {
-            let prefix = build_flat(&updates[..=at]);
+        if let Some((mut snap, end, _)) = snap {
+            let prefix = build_flat(&updates[..end]);
             prop_assert_eq!(snap.read_nnz(), prefix.nvals());
             prop_assert_eq!(snap.read_top_k(5), reference_top_k(&prefix, 5));
             let probe = updates[0].0;
@@ -125,7 +166,8 @@ proptest! {
 
     #[test]
     fn sharded_pushdown_index_matches_flat(
-        updates in update_stream(300),
+        raw in pooled_stream(300, WIDE_POOL),
+        wide in 0u64..2,
         cuts in cut_schedule(),
         shards in 1usize..=8,
         chunk in 1usize..64,
@@ -133,6 +175,7 @@ proptest! {
         k in 0usize..12,
         partitioner_sel in 0u64..2,
     ) {
+        let updates = scatter(&raw, if wide == 1 { WIDE_POOL } else { 48 });
         let flat = build_flat(&updates);
         let cfg = HierConfig::from_cuts(cuts).unwrap();
         let partitioner = if partitioner_sel == 1 {
@@ -199,12 +242,14 @@ proptest! {
 
     #[test]
     fn windowed_rotation_index_matches_sweep_and_retained_union(
-        updates in update_stream(300),
+        raw in pooled_stream(300, WIDE_POOL),
+        wide in 0u64..2,
         cuts in cut_schedule(),
         window in 10u64..120,
         max_windows in 1usize..4,
         k in 0usize..10,
     ) {
+        let updates = scatter(&raw, if wide == 1 { WIDE_POOL } else { 48 });
         let cfg = HierConfig::from_cuts(cuts).unwrap();
         let mut w =
             WindowedHierMatrix::<u64>::new(DIM, DIM, cfg, window, max_windows).unwrap();
