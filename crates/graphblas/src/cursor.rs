@@ -23,7 +23,7 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
-use crate::formats::merge::{gallop_while, merge_row_adaptive, MergeTally, PairSink, PlaneSink};
+use crate::formats::merge::{gallop_while, merge_row_adaptive, MergeTally, PairSink};
 use crate::index::Index;
 use crate::ops::BinaryOp;
 use crate::types::ScalarType;
@@ -579,12 +579,10 @@ pub fn merged_row_range<T: ScalarType, Op: BinaryOp<T>>(
 /// [`merged_row_into`].  Row-major storage cannot seek a column directly,
 /// so each level is column-seeked independently (one binary search per
 /// non-empty row), producing a sorted per-level hit plane; the planes then
-/// fold left-to-right (level order, preserving the collision order)
-/// through the same skew-aware merge kernel the cascade uses — levels
-/// rarely store the same column in the same rows, so the folds are mostly
-/// disjoint bulk copies or galloped skips.  `O(rows · log degree)` for the
-/// seeks; this is the retained fallback, the column-shadow fast path
-/// answers in `O(column degree)`.
+/// fold in level order ([`fold_col_planes`], preserving the collision
+/// order) through the merge loop the row reads share.
+/// `O(rows · log degree)` for the seeks; this is the retained fallback, the
+/// column-shadow fast path answers in `O(column degree)`.
 pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
     levels: &[&Dcsr<T>],
     col: Index,
@@ -651,40 +649,27 @@ pub fn col_range_transposed<T: ScalarType>(d: &Dcsr<T>, lo: Index, hi: Index) ->
     .expect("transposed cells stay within the swapped dims")
 }
 
-/// Fold per-level column planes left to right (level order, preserving the
-/// collision order) under `op` into `out` (cleared first), through the
-/// skew-aware merge kernel.  Whether a plane came from a level sweep or a
-/// column twin does not matter: both hold the same cells in the same order.
+/// Fold per-level column planes under `op` into `out` (cleared first):
+/// rows held by several planes combine left to right, in level order,
+/// through the same merge loop the row reads use.  Whether a plane came
+/// from a level sweep or a column twin does not matter: both hold the same
+/// cells in the same order.
 pub fn fold_col_planes<T: ScalarType, Op: BinaryOp<T>>(
     planes: Vec<ColPlane<T>>,
     op: Op,
     out: &mut Vec<(Index, T)>,
 ) {
     out.clear();
-    let mut iter = planes.into_iter().filter(|p| !p.0.is_empty());
-    let Some((mut acc_rows, mut acc_vals)) = iter.next() else {
-        return;
-    };
-    let mut tally = MergeTally::default();
-    let mut alt_rows: Vec<Index> = Vec::new();
-    let mut alt_vals: Vec<T> = Vec::new();
-    for (hit_rows, hit_vals) in iter {
-        alt_rows.clear();
-        alt_vals.clear();
-        {
-            let mut sink = PlaneSink {
-                cols: &mut alt_rows,
-                vals: &mut alt_vals,
-            };
-            merge_row_adaptive(
-                &acc_rows, &acc_vals, &hit_rows, &hit_vals, op, &mut sink, &mut tally,
-            );
-        }
-        std::mem::swap(&mut acc_rows, &mut alt_rows);
-        std::mem::swap(&mut acc_vals, &mut alt_vals);
+    let parts: Vec<(&[Index], &[T])> = planes
+        .iter()
+        .filter(|p| !p.0.is_empty())
+        .map(|p| (&p.0[..], &p.1[..]))
+        .collect();
+    match parts.len() {
+        0 => {}
+        1 => out.extend(parts[0].0.iter().copied().zip(parts[0].1.iter().copied())),
+        _ => merge_parts(&parts, &mut Vec::new(), op, &mut |r, v| out.push((r, v))),
     }
-    tally.commit();
-    out.extend(acc_rows.iter().copied().zip(acc_vals.iter().copied()));
 }
 
 /// Number of distinct rows storing something in column `col` of
